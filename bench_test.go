@@ -469,28 +469,22 @@ func BenchmarkMetroSteadyState(b *testing.B) {
 	b.ReportMetric(virtual.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
 }
 
+// BenchmarkCityScale advances a single-world city — 2000 APs and 200
+// clients over 6×6 km — two virtual seconds per iteration.
 func BenchmarkCityScale(b *testing.B) {
 	const virtual = 2 * time.Second
-	for _, v := range []struct {
-		name   string
-		linear bool
-	}{{"indexed", false}, {"linear", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := Defaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 1, 6, 11))
-			for i := 0; i < b.N; i++ {
-				spec := CityGrid(int64(i+1), 2000, 200)
-				spec.AreaW, spec.AreaH = 6000, 6000
-				rc := DefaultRadio()
-				rc.DataRateKbps = 24_000
-				rc.LinearScan = v.linear
-				spec.Radio = rc
-				world, mobs := spec.Build()
-				for _, mob := range mobs {
-					world.AddClient(cfg, mob)
-				}
-				world.Run(virtual)
-			}
-			b.ReportMetric(virtual.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
-		})
+	cfg := Defaults(MultiChannelMultiAP, EqualSchedule(200*time.Millisecond, 1, 6, 11))
+	for i := 0; i < b.N; i++ {
+		spec := CityGrid(int64(i+1), 2000, 200)
+		spec.AreaW, spec.AreaH = 6000, 6000
+		rc := DefaultRadio()
+		rc.DataRateKbps = 24_000
+		spec.Radio = rc
+		world, mobs := spec.Build()
+		for _, mob := range mobs {
+			world.AddClient(cfg, mob)
+		}
+		world.Run(virtual)
 	}
+	b.ReportMetric(virtual.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
 }

@@ -85,15 +85,14 @@ func main() {
 			o.Tracer.SetFilter(strings.Split(*traceF, ",")...)
 		}
 	}
-	if *joinSpd < 0 || (*joinRamp != "uniform" && *joinRamp != "exp") {
-		fmt.Fprintln(os.Stderr, "spider-exp: -join-spread must be >= 0 and -join-ramp uniform or exp")
-		os.Exit(2)
-	}
 	opts := expt.Options{Seed: *seed, Scale: *scale, Workers: *workers, Chaos: *chaos, Obs: o, Shards: *shards,
 		JoinSpread: *joinSpd, JoinRamp: *joinRamp}
-	// Unknown or duplicate ids fail here, before any experiment runs — a
-	// typo must not cost a partial campaign.
+	// Unknown or duplicate ids and bad options fail here, before any
+	// experiment runs — a typo must not cost a partial campaign.
 	ids, err := expt.ResolveIDs(*id)
+	if err == nil {
+		err = opts.Validate()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spider-exp:", err)
 		os.Exit(2)

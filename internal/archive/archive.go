@@ -183,7 +183,9 @@ func (a *Archive) Encode() []byte {
 	enc.SetEscapeHTML(false)
 	enc.SetIndent("", "\t")
 	if err := enc.Encode(a); err != nil {
-		// All archive fields are plain data; Marshal cannot fail on them.
+		// Archive fields are plain data, so the one value Marshal rejects
+		// is a non-finite float. Builders store those as strings (see
+		// expt's resultBuilder); reaching this is a builder bug.
 		panic(fmt.Sprintf("archive: encode: %v", err))
 	}
 	return buf.Bytes()

@@ -151,14 +151,14 @@ type Driver struct {
 	startEv sim.Event
 	started bool
 
-	// pool is the medium's frame pool (nil under NoPool); every frame the
+	// pool is the medium's frame pool; every frame the
 	// driver originates comes from it and is recycled by the medium at
 	// transmit completion.
 	pool *wifi.Pool
 	// Cached callbacks for the self-rescheduling ticks — re-arming with a
 	// fresh method value would allocate one closure per tick per client.
 	scanTickFn, nextSliceFn, inactivityFn, bgScanFn, bgReturnFn, apSliceFn, startFn func()
-	bgHome                                                                 int
+	bgHome                                                                          int
 	// In-flight channel-switch state. A switch that starts while another
 	// is still in flight supersedes it: the generation counter invalidates
 	// stale PSM completions and the pending linger/retune events are

@@ -2,6 +2,8 @@ package expt
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"spider/internal/archive"
 )
@@ -123,7 +125,13 @@ func (b *resultBuilder) add(r archive.Result) {
 	b.out = append(b.out, r)
 }
 
+// num archives v as a number, or — since JSON has no non-finite numbers
+// — a non-finite v as its strconv text ("+Inf", "-Inf", "NaN").
 func (b *resultBuilder) num(name, key string, v float64) {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		b.str(name, key, strconv.FormatFloat(v, 'g', -1, 64))
+		return
+	}
 	b.add(archive.Result{Name: name, Key: key, Num: &v})
 }
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"spider/internal/fault"
 	"spider/internal/obs"
 	"spider/internal/plot"
 )
@@ -72,6 +73,40 @@ func (o Options) withDefaults() Options {
 		o.Scale = 1
 	}
 	return o
+}
+
+// Validate checks options the way every front end must before any
+// experiment runs, so a bad value fails the invocation instead of being
+// replaced by a default or failing a campaign midway: Scale in (0,1],
+// Workers, Shards and JoinSpread not negative, a known JoinRamp, and a
+// Chaos spec that resolves. A zero Seed is valid (it means 1).
+func (o Options) Validate() error {
+	if !(o.Scale > 0 && o.Scale <= 1) {
+		return fmt.Errorf("scale %g outside (0,1]", o.Scale)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("workers %d negative", o.Workers)
+	}
+	if o.Shards < 0 {
+		return fmt.Errorf("shards %d negative", o.Shards)
+	}
+	if o.JoinSpread < 0 {
+		return fmt.Errorf("join spread %v negative", o.JoinSpread)
+	}
+	switch o.JoinRamp {
+	case "", "uniform", "exp":
+	default:
+		return fmt.Errorf("join ramp %q (want uniform or exp)", o.JoinRamp)
+	}
+	if o.Chaos != "" {
+		// Timeline scripts and profile names both resolve here; the city
+		// experiments accept profile names only, which their own run
+		// path still enforces.
+		if _, _, _, err := fault.Resolve(o.Chaos); err != nil {
+			return fmt.Errorf("chaos: %w", err)
+		}
+	}
+	return nil
 }
 
 // scaleDur shrinks a duration by the scale factor, with a floor.

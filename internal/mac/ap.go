@@ -68,7 +68,7 @@ type AP struct {
 	cfg    APConfig
 	radio  *radio.Radio
 	dhcpd  *dhcp.Server
-	pool   *wifi.Pool // the medium's frame pool (nil under NoPool)
+	pool   *wifi.Pool // the medium's frame pool
 	seq    uint16
 
 	// beaconFn caches the beacon method value so each re-arm does not

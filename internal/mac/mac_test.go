@@ -39,7 +39,7 @@ func newTestClient(k *sim.Kernel, m *radio.Medium, addr wifi.Addr, pos geo.Point
 }
 
 func (c *testClient) receive(f *wifi.Frame) {
-	c.frames = append(c.frames, f)
+	c.frames = append(c.frames, retain(f))
 	c.joiner.HandleFrame(f)
 	if f.Type == wifi.TypeData {
 		if db, ok := f.Body.(*wifi.DataBody); ok {
@@ -66,11 +66,19 @@ func quietAPConfig(ssid string, ch int) APConfig {
 	return cfg
 }
 
-// losslessMedium disables the frame pool: the test client retains every
-// delivered frame for later inspection, which pooled frames (recycled at
-// transmit completion) do not allow.
+// retain copies a delivered frame through its wire format. The medium
+// recycles pooled frames at transmit completion, so a receiver that
+// keeps a frame past its upcall must keep a copy.
+func retain(f *wifi.Frame) *wifi.Frame {
+	c, err := wifi.Decode(f.Encode())
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func losslessMedium(k *sim.Kernel) *radio.Medium {
-	return radio.NewMedium(k, radio.Config{Range: 100, Loss: 0, EdgeStart: 1, NoPool: true})
+	return radio.NewMedium(k, radio.Config{Range: 100, Loss: 0, EdgeStart: 1})
 }
 
 func setup(t *testing.T) (*sim.Kernel, *radio.Medium, *AP, *testClient) {
@@ -136,7 +144,7 @@ func TestJoinerAssociates(t *testing.T) {
 
 func TestJoinerRetriesThroughLoss(t *testing.T) {
 	k := sim.NewKernel(12)
-	m := radio.NewMedium(k, radio.Config{Range: 100, Loss: 0.3, EdgeStart: 1, NoPool: true})
+	m := radio.NewMedium(k, radio.Config{Range: 100, Loss: 0.3, EdgeStart: 1})
 	ap := NewAPAt(m, quietAPConfig("net", 6), wifi.NewAddr(0, 1), geo.Point{}, 1)
 	succ := 0
 	for i := 0; i < 20; i++ {

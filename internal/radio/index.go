@@ -12,14 +12,14 @@ import (
 // uniform spatial grid that turns the O(radios) carrier-sense and
 // delivery scans into neighborhood queries.
 //
-// Determinism contract: the index is a pure *pre-filter*. Every radio the
-// linear scan would have touched (drawn loss randomness for, counted in a
-// stat, or delivered to) must appear among the returned candidates, and
-// delivery candidates are sorted back into registration order before use,
-// so the medium's RNG consumes draws in exactly the order the linear scan
-// produced — golden outputs are byte-identical either way. The linear
-// scan is retained behind Config.LinearScan and an equivalence test keeps
-// both honest.
+// Determinism contract: the index is a pure *pre-filter*. Every radio a
+// brute-force scan over all registered radios would touch (draw loss
+// randomness for, count in a stat, or deliver to) must appear among the
+// returned candidates, and delivery candidates are sorted back into
+// registration order before use, so the medium's RNG consumes draws in
+// registration order whatever the cells hold. The tests keep that
+// brute-force scan as the oracle: an index audit (audit_test.go) checks
+// the candidate sets against it at every transmission.
 //
 // Static radios (declared via NewStaticRadio — access points) live in the
 // grid under their fixed position. Mobile radios are gridded too, but
@@ -272,10 +272,9 @@ func (ix *mediumIndex) boundsFor(r *Radio, p geo.Point, rad float64, kind uint8)
 // mobiles from the covering mobile cells padded by one ring (a bin can
 // trail its radio by at most one cell side — see maybeSweep), and all
 // unbinned mobiles. With ordered set, the result is in registration
-// order, which is the iteration order of the linear scan and therefore
-// the order the medium's loss RNG must consume draws in; carrier sense
-// passes false (its busy-until update is a max, so order is invisible)
-// and skips the sort. The result is a superset of the radios within the
+// order, the order the medium's loss RNG must consume draws in; carrier
+// sense passes false (its busy-until update is a max, so order is
+// invisible) and skips the sort. The result is a superset of the radios within the
 // query radius; callers re-apply the exact distance predicate.
 func (ix *mediumIndex) gather(ch int, lo, hi cellKey, ordered bool, out []*Radio) []*Radio {
 	ci := ix.chans[ch]

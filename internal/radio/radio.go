@@ -52,27 +52,6 @@ type Config struct {
 	// receiver — the classic hidden-terminal failure. Off by default: the
 	// paper's model folds all loss into h.
 	HiddenCollisions bool
-	// LinearScan disables the per-channel/spatial index and retains the
-	// original O(radios) carrier-sense and delivery scans. Results are
-	// byte-identical either way (the equivalence tests enforce it); the
-	// linear path exists as the reference implementation and for
-	// before/after benchmarking.
-	LinearScan bool
-	// NoPool disables the medium's frame/body pool: every frame is a
-	// fresh allocation and nothing is recycled, exactly the pre-pooling
-	// allocator behavior. Results are byte-identical either way (the
-	// pooling equivalence tests enforce it); the unpooled path exists as
-	// the reference implementation and for before/after benchmarking.
-	NoPool bool
-	// HeapOnly disables the kernel's calendar-queue front-end and
-	// schedules every event on the retained binary heap, the original
-	// scheduler. Results are byte-identical either way (the scheduler
-	// equivalence tests enforce it); the heap-only path exists as the
-	// reference implementation and for before/after benchmarking. It
-	// rides in the radio config — like LinearScan and NoPool — because
-	// that is the one knob bag every scenario builder already threads
-	// down to the kernel's construction site.
-	HeapOnly bool
 }
 
 // Defaults returns the configuration used throughout the paper's
@@ -125,12 +104,12 @@ type Medium struct {
 	kernel *sim.Kernel
 	cfg    Config
 	rng    *rand.Rand
-	radios []*Radio // registration order; the linear-scan iteration order
+	radios []*Radio // registration order: delivery and checkpoint order
 
-	// idx is the per-channel/spatial registry (nil under Config.LinearScan).
+	// idx is the per-channel/spatial registry every query goes through.
 	idx *mediumIndex
 	// byAddr resolves a unicast DA to its radio so off-channel and
-	// out-of-range stats survive the indexed path. First registration
+	// out-of-range stats count radios the spatial query skips. First registration
 	// wins; the medium assumes one radio per address.
 	byAddr map[wifi.Addr]*Radio
 	// Scratch candidate buffers, reused across queries. Two exist because
@@ -149,8 +128,8 @@ type Medium struct {
 	txObs func(f *wifi.Frame, ch int, at time.Duration, txPos geo.Point)
 
 	// pool recycles hot frame/body allocations through the transmit
-	// completion path (nil under Config.NoPool). Owned by the medium's
-	// kernel goroutine; see wifi.Pool for the ownership rules.
+	// completion path. Owned by the medium's kernel goroutine; see
+	// wifi.Pool for the ownership rules.
 	pool *wifi.Pool
 
 	// burst holds per-channel additive loss while a fault-injected
@@ -211,25 +190,20 @@ type Stats struct {
 
 // NewMedium creates a medium bound to the kernel.
 func NewMedium(k *sim.Kernel, cfg Config) *Medium {
-	m := &Medium{
+	cfg = cfg.withDefaults()
+	return &Medium{
 		kernel: k,
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		rng:    k.RNG("radio.loss"),
+		idx:    newMediumIndex(cfg),
 		byAddr: make(map[wifi.Addr]*Radio),
+		pool:   &wifi.Pool{},
 	}
-	if !m.cfg.LinearScan {
-		m.idx = newMediumIndex(m.cfg)
-	}
-	if !m.cfg.NoPool {
-		m.pool = &wifi.Pool{}
-	}
-	return m
 }
 
-// Pool returns the medium's frame pool — nil under Config.NoPool, which
-// every pool method accepts (a nil pool allocates fresh and never
-// recycles). Frame producers (APs, drivers, the TCP/DHCP payload
-// builders) draw from it; the medium recycles at transmit completion.
+// Pool returns the medium's frame pool. Frame producers (APs, drivers,
+// the TCP/DHCP payload builders) draw from it; the medium recycles at
+// transmit completion.
 func (m *Medium) Pool() *wifi.Pool { return m.pool }
 
 // Config returns the medium's effective configuration.
@@ -268,8 +242,8 @@ type Radio struct {
 	pos  func() geo.Point
 	rx   Receiver
 
-	// regIdx is the registration-order index in Medium.radios; candidate
-	// sets sort by it to reproduce the linear scan's iteration order.
+	// regIdx is the registration-order index in Medium.radios; delivery
+	// candidates sort by it, so loss draws follow registration order.
 	regIdx int32
 	// static radios (NewStaticRadio) are indexed in the spatial grid under
 	// staticPos; mobile radios live in the per-channel mobile registries —
@@ -300,7 +274,7 @@ type Radio struct {
 	retuneCh   int
 	retuneDone func()
 	retuneFn   func()
-	busyUntil   time.Duration // airtime deferral from carrier sense
+	busyUntil  time.Duration // airtime deferral from carrier sense
 
 	// FIFO transmit queue: like a real MAC, the head frame blocks the
 	// line while ARQ retries it, so a station never reorders its own
@@ -406,10 +380,6 @@ func (r *Radio) SetMaxSpeed(v float64) {
 		return
 	}
 	ix := r.m.idx
-	if ix == nil {
-		r.maxSpeed = v
-		return
-	}
 	if r.channel != 0 {
 		ix.remove(r, r.channel)
 	}
@@ -437,13 +407,11 @@ func (r *Radio) setChannel(ch int) {
 		return
 	}
 	r.channel = ch
-	if ix := r.m.idx; ix != nil {
-		if old != 0 {
-			ix.remove(r, old)
-		}
-		if ch != 0 {
-			ix.add(r, ch)
-		}
+	if old != 0 {
+		r.m.idx.remove(r, old)
+	}
+	if ch != 0 {
+		r.m.idx.add(r, ch)
 	}
 }
 
@@ -608,10 +576,9 @@ func (r *Radio) kick() {
 	}
 	// Carrier sense: every same-channel station within CSRange of the
 	// transmitter (itself included) defers until this frame clears. The
-	// candidate set is a superset of the affected radios (all radios under
-	// the linear scan, the CSRange neighborhood under the index); the
-	// exact predicate below is identical either way, and the busy-until
-	// update is a max, so candidate order does not matter.
+	// candidates (the indexed CSRange neighborhood) are a superset of the
+	// affected radios; the exact predicate below picks them out, and the
+	// busy-until update is a max, so candidate order does not matter.
 	txPos := r.pos()
 	for _, x := range m.csCandidates(r, job.ch, txPos) {
 		if x.channel != job.ch {
@@ -690,13 +657,10 @@ func (r *Radio) canRetry(f *wifi.Frame, attempt int) bool {
 func (r *Radio) AirtimeStats() Airtime { return r.air }
 
 // csCandidates returns the radios the carrier-sense loop must visit for
-// a transmission by tx on ch at txPos: all radios under the linear scan,
-// or the same-channel CSRange neighborhood (grid cells + mobiles) when
-// indexed. tx (nil for ghost frames) carries the query-bounds cache.
+// a transmission by tx on ch at txPos: the same-channel CSRange
+// neighborhood (grid cells + mobiles). tx (nil for ghost frames) carries
+// the query-bounds cache.
 func (m *Medium) csCandidates(tx *Radio, ch int, txPos geo.Point) []*Radio {
-	if m.idx == nil {
-		return m.radios
-	}
 	m.idx.maybeSweep(ch, m.kernel.Now())
 	lo, hi := m.idx.boundsFor(tx, txPos, m.cfg.CSRange, qbCS)
 	m.csScratch = m.idx.gather(ch, lo, hi, false, m.csScratch[:0])
@@ -704,14 +668,10 @@ func (m *Medium) csCandidates(tx *Radio, ch int, txPos geo.Point) []*Radio {
 }
 
 // deliveryCandidates returns the radios the delivery loop must visit, in
-// registration order: all radios under the linear scan; when indexed, the
-// same-channel radios near txPos plus — for unicast — the addressed radio
-// wherever (and however tuned) it is, so the missed-away and out-of-range
-// stats count exactly as the linear scan does.
+// registration order: the same-channel radios near txPos plus — for
+// unicast — the addressed radio wherever (and however tuned) it is, so
+// the missed-away and out-of-range stats count it too.
 func (m *Medium) deliveryCandidates(tx *Radio, da wifi.Addr, ch int, txPos geo.Point) []*Radio {
-	if m.idx == nil {
-		return m.radios
-	}
 	m.idx.maybeSweep(ch, m.kernel.Now())
 	lo, hi := m.idx.boundsFor(tx, txPos, m.cfg.Range, qbDelivery)
 	out := m.idx.gather(ch, lo, hi, true, m.dlScratch[:0])
@@ -836,36 +796,25 @@ func (m *Medium) lossAt(d float64) float64 {
 func (m *Medium) InRange(a, b geo.Point) bool { return a.Dist(b) <= m.cfg.Range }
 
 // ChannelBusyUntil reports when the channel frees up as observed by the
-// busiest station tuned to it (tests and metrics). A max over the
-// channel's registry when indexed, over every radio otherwise.
+// busiest station tuned to it (tests and metrics): a max over the
+// channel's registry.
 func (m *Medium) ChannelBusyUntil(ch int) time.Duration {
+	ci := m.idx.chans[ch]
+	if ci == nil {
+		return 0
+	}
 	var max time.Duration
-	if m.idx != nil {
-		if ci := m.idx.chans[ch]; ci != nil {
-			for _, cell := range ci.cells {
-				for _, r := range cell {
-					if r.busyUntil > max {
-						max = r.busyUntil
-					}
-				}
-			}
-			for _, r := range ci.binned {
-				if r.busyUntil > max {
-					max = r.busyUntil
-				}
-			}
-			for _, r := range ci.unbinned {
-				if r.busyUntil > max {
-					max = r.busyUntil
-				}
+	visit := func(rs []*Radio) {
+		for _, r := range rs {
+			if r.busyUntil > max {
+				max = r.busyUntil
 			}
 		}
-		return max
 	}
-	for _, r := range m.radios {
-		if r.channel == ch && r.busyUntil > max {
-			max = r.busyUntil
-		}
+	for _, cell := range ci.cells {
+		visit(cell)
 	}
+	visit(ci.binned)
+	visit(ci.unbinned)
 	return max
 }

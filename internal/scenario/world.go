@@ -70,7 +70,6 @@ type World struct {
 // NewWorld creates an empty world on a fresh kernel.
 func NewWorld(seed int64, radioCfg radio.Config) *World {
 	k := sim.NewKernel(seed)
-	k.SetHeapOnly(radioCfg.HeapOnly)
 	return &World{
 		Kernel: k,
 		Medium: radio.NewMedium(k, radioCfg),
@@ -167,8 +166,8 @@ type linkSeg struct {
 	// ev/idx track the in-flight delivery for checkpoints: ev is the
 	// kernel event identity, idx the carrier's slot in the client's live
 	// registry (upLive/downLive).
-	ev   sim.Event
-	idx  int
+	ev           sim.Event
+	idx          int
 	upFn, downFn func()
 }
 
@@ -299,12 +298,12 @@ type Client struct {
 	// segPool recycles the client's TCP segments (data and uplink ACKs);
 	// upFree/downFree recycle the backhaul carriers, dlSeg is the
 	// downlink decode scratch. All single-threaded with the world.
-	segPool tcpsim.SegPool
+	segPool          tcpsim.SegPool
 	upFree, downFree []*linkSeg
 	// upLive/downLive register carriers currently in flight across a
 	// backhaul, so checkpoints can capture the pending deliveries.
 	upLive, downLive []*linkSeg
-	dlSeg   tcpsim.Segment
+	dlSeg            tcpsim.Segment
 	// statsClosed / invClosed carry the counters of drivers this client
 	// has already retired (one per shard migration), so Stats and
 	// InvariantsTotal cover the whole life regardless of which world the
@@ -438,7 +437,7 @@ func (w *World) AdoptClient(c *Client, cfg core.Config, mob geo.Mobility, recs [
 }
 
 // bodyFor wraps a segment in a data body drawn from the world medium's
-// frame pool (fresh under NoPool), encoding into the body's recycled
+// frame pool, encoding into the body's recycled
 // header buffer. The body is owned by whatever frame carries it and is
 // recycled with that frame at transmit completion.
 func (c *Client) bodyFor(seg *tcpsim.Segment) *wifi.DataBody {

@@ -8,52 +8,6 @@ import (
 	"spider/internal/scenario"
 )
 
-// runCityKernel is runCity with the kernel front-end switchable:
-// HeapOnly retains the pre-calendar pure-heap scheduler.
-func runCityKernel(t *testing.T, seed int64, heapOnly, chaos bool, workers int, until time.Duration) *City {
-	t.Helper()
-	spec := testSpec(seed)
-	spec.Radio.HeapOnly = heapOnly
-	c := NewCity(spec, testCfg(), workers)
-	c.EnableObs(0)
-	if chaos {
-		c.ApplyChaos(fault.Aggressive())
-	}
-	if err := c.Run(until); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestHeapOnlyByteIdentity is the calendar queue's contract: the bucket
-// front-end is a scheduling-layer change, not a behavior change, so
-// calendar and heap-only runs must export identical universes — clean
-// and under the aggressive fault profile, at one worker and several.
-// Any ordering bug (a same-timestamp burst dispatched out of sequence
-// order, a cancellation surviving as a live event) shows up here as a
-// fingerprint diff.
-func TestHeapOnlyByteIdentity(t *testing.T) {
-	const until = 15 * time.Second
-	for _, chaos := range []bool{false, true} {
-		chaos := chaos
-		name := "clean"
-		if chaos {
-			name = "chaos"
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			want := fingerprint(t, runCityKernel(t, 1, true, chaos, 1, until))
-			for _, workers := range []int{1, 4, 8} {
-				got := fingerprint(t, runCityKernel(t, 1, false, chaos, workers, until))
-				if got != want {
-					t.Fatalf("calendar run (workers=%d) diverged from heap-only\n%s",
-						workers, firstDiff(want, got))
-				}
-			}
-		})
-	}
-}
-
 // staggerSpec is testSpec with a 5-second admission ramp.
 func staggerSpec(seed int64, ramp string) scenario.CityGridSpec {
 	spec := testSpec(seed)

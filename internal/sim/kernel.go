@@ -22,12 +22,14 @@
 // storm piles up millions of near-simultaneous timers. Events beyond the
 // window, or inside the bucket currently dispatching, take the heap.
 // Because every structure orders by the same (timestamp, sequence) key,
-// dispatch order — and therefore every golden output — is identical to
-// the heap-only scheduler, which is retained behind SetHeapOnly (the
-// radio Config.HeapOnly escape hatch) and pitted against the calendar
-// path by equivalence, property and fuzz tests. Event values handed to
-// callers are generation-checked handles, so Cancel and Pending on a
-// slot that has since been recycled are safe no-ops.
+// dispatch order — and therefore every golden output — is fixed by that
+// key alone; property and fuzz tests pit the kernel against a naive
+// reference scheduler that pops the minimum (at, seq) from a flat list.
+// Staged buckets are intrusive doubly-linked lists threaded through the
+// slot arena, so staging, cancelling and loading a bucket allocate
+// nothing once the arena has grown to the working set. Event values
+// handed to callers are generation-checked handles, so Cancel and
+// Pending on a slot that has since been recycled are safe no-ops.
 package sim
 
 import (
@@ -71,15 +73,7 @@ func (e Event) Cancel() bool {
 	case locHeap:
 		k.heapRemove(int(s.pos))
 	case locBucket:
-		lst := k.buckets[s.bucket]
-		last := len(lst) - 1
-		if p := int(s.pos); p != last {
-			moved := lst[last]
-			lst[p] = moved
-			k.slots[moved].pos = int32(p)
-		}
-		k.buckets[s.bucket] = lst[:last]
-		k.nStaged--
+		k.unstage(e.idx)
 	case locRun:
 		// The run is sorted, so the entry stays put as a tombstone;
 		// dispatch and peek skip entries whose slot no longer claims
@@ -96,10 +90,10 @@ func (e Event) Pending() bool { return e.live() }
 // Slot locations. A slot is live while it sits in exactly one of the
 // three queue structures; locFree slots are on the free list.
 const (
-	locFree int8 = iota
-	locHeap      // in Kernel.heap at index pos
-	locBucket    // staged in Kernel.buckets[bucket] at index pos
-	locRun       // in the sorted dispatch run at index pos
+	locFree   int8 = iota
+	locHeap        // in Kernel.heap at index pos
+	locBucket      // in the staging list headed at Kernel.heads[bucket]
+	locRun         // in the sorted dispatch run at index pos
 )
 
 // slot is one arena entry. A slot is live while its index sits in a
@@ -107,12 +101,17 @@ const (
 // long-lived kernel never retains fired-event closures), the generation
 // is bumped to invalidate outstanding handles, and the index returns to
 // the free list.
+//
+// In a staging list, pos links to the previous slot and next to the
+// following one (-1 at either end): reusing pos keeps a slot at 40
+// bytes, which the burst dispatch loop is sensitive to.
 type slot struct {
 	fn     func()
 	at     time.Duration
 	seq    uint64
 	gen    uint32
-	pos    int32 // position within the structure named by where
+	pos    int32 // heap or run index; previous slot when staged
+	next   int32 // next slot when staged
 	where  int8
 	bucket int16 // staging bucket, when where == locBucket
 }
@@ -144,15 +143,16 @@ type Kernel struct {
 	stopped bool
 
 	// Calendar front-end state. base is the (bucket-aligned) start of
-	// the staging window; run is the sorted dispatch view of the bucket
-	// at base. runLive counts run entries not yet fired or cancelled.
-	heapOnly bool
-	base     time.Duration
-	buckets  [][]int32
-	nStaged  int
-	run      []int32
-	runPos   int
-	runLive  int
+	// the staging window; heads[b] is the first slot of bucket b's
+	// unsorted staging list (-1 when empty); run is the sorted dispatch
+	// view of the bucket at base. runLive counts run entries not yet
+	// fired or cancelled.
+	base    time.Duration
+	heads   [numBuckets]int32
+	nStaged int
+	run     []int32
+	runPos  int
+	runLive int
 
 	// Fired counts events executed; useful for tests and budget guards.
 	fired uint64
@@ -161,24 +161,15 @@ type Kernel struct {
 // NewKernel returns a kernel whose clock starts at zero and whose RNG
 // streams derive from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		seed:    seed,
-		rngs:    make(map[string]*rand.Rand),
-		srcs:    make(map[string]*CountedSource),
-		buckets: make([][]int32, numBuckets),
+	k := &Kernel{
+		seed: seed,
+		rngs: make(map[string]*rand.Rand),
+		srcs: make(map[string]*CountedSource),
 	}
-}
-
-// SetHeapOnly disables the calendar front-end, sending every event
-// through the retained 4-ary heap. It is the kernel half of the radio
-// Config.HeapOnly escape hatch: both schedulers order by (at, seq), so
-// outputs are byte-identical — the hatch exists so equivalence tests
-// and bisections can prove it. Call before scheduling any events.
-func (k *Kernel) SetHeapOnly(on bool) {
-	if on && (k.nStaged > 0 || k.runLive > 0) {
-		panic("sim: SetHeapOnly with staged events")
+	for b := range k.heads {
+		k.heads[b] = -1
 	}
-	k.heapOnly = on
+	return k
 }
 
 // Now returns the current virtual time.
@@ -257,10 +248,6 @@ func (k *Kernel) After(d time.Duration, fn func()) Event {
 // everything else (far future, the bucket currently dispatching, and —
 // defensively — anything below the window base).
 func (k *Kernel) enqueue(idx int32) {
-	if k.heapOnly {
-		k.heapPush(idx)
-		return
-	}
 	at := k.slots[idx].at
 	if k.runLive == 0 && k.nStaged == 0 && at >= k.base+bucketSpan {
 		// Empty front-end and the event is beyond the window: slide the
@@ -282,24 +269,49 @@ func (k *Kernel) enqueue(idx int32) {
 	k.heapPush(idx)
 }
 
-// stage appends the slot to its window bucket, unsorted.
+// stage pushes the slot onto the front of its window bucket's list;
+// order within a bucket is irrelevant until loadRun sorts it.
 func (k *Kernel) stage(idx int32) {
 	s := &k.slots[idx]
 	b := int16(s.at>>bucketBits) & (numBuckets - 1)
 	s.where = locBucket
 	s.bucket = b
-	s.pos = int32(len(k.buckets[b]))
-	k.buckets[b] = append(k.buckets[b], idx)
+	s.pos = -1
+	s.next = k.heads[b]
+	if s.next >= 0 {
+		k.slots[s.next].pos = idx
+	}
+	k.heads[b] = idx
 	k.nStaged++
 }
 
-// loadRun advances the window base to start and turns that bucket into
-// the sorted dispatch run. The old run's storage becomes the bucket's
-// fresh staging slice, so steady state recycles both.
+// unstage unlinks a staged slot from its bucket's list in O(1).
+func (k *Kernel) unstage(idx int32) {
+	s := &k.slots[idx]
+	if s.pos >= 0 {
+		k.slots[s.pos].next = s.next
+	} else {
+		k.heads[s.bucket] = s.next
+	}
+	if s.next >= 0 {
+		k.slots[s.next].pos = s.pos
+	}
+	k.nStaged--
+}
+
+// loadRun advances the window base to start and turns bucket b into the
+// sorted dispatch run, copying its list into the run's reused storage.
+// The list holds the bucket newest first; reversing it restores staging
+// order, which a burst leaves nearly sorted already.
 func (k *Kernel) loadRun(b int, start time.Duration) {
 	k.base = start
-	k.run, k.buckets[b] = k.buckets[b], k.run[:0]
+	k.run = k.run[:0]
+	for idx := k.heads[b]; idx >= 0; idx = k.slots[idx].next {
+		k.run = append(k.run, idx)
+	}
+	k.heads[b] = -1
 	k.nStaged -= len(k.run)
+	slices.Reverse(k.run)
 	slices.SortFunc(k.run, func(a, c int32) int {
 		sa, sc := &k.slots[a], &k.slots[c]
 		if sa.at != sc.at {
@@ -331,7 +343,7 @@ func (k *Kernel) ensureFront() {
 	for k.runLive == 0 && k.nStaged > 0 {
 		b := int(k.base>>bucketBits) & (numBuckets - 1)
 		i := 0
-		for ; len(k.buckets[(b+i)&(numBuckets-1)]) == 0; i++ {
+		for ; k.heads[(b+i)&(numBuckets-1)] < 0; i++ {
 		}
 		start := k.base + time.Duration(i)*bucketW
 		if len(k.heap) > 0 && k.slots[k.heap[0]].at < start {

@@ -180,11 +180,13 @@ func (k *Kernel) BeginRestore(now time.Duration, nextSeq, fired uint64) {
 		k.release(idx)
 	}
 	k.heap = k.heap[:0]
-	for b := range k.buckets {
-		for _, idx := range k.buckets[b] {
+	for b, idx := range k.heads {
+		for idx >= 0 {
+			next := k.slots[idx].next
 			k.release(idx)
+			idx = next
 		}
-		k.buckets[b] = k.buckets[b][:0]
+		k.heads[b] = -1
 	}
 	k.nStaged = 0
 	for p := k.runPos; p < len(k.run); p++ {

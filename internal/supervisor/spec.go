@@ -7,7 +7,6 @@ import (
 
 	"spider/internal/archive"
 	"spider/internal/expt"
-	"spider/internal/fault"
 )
 
 // Spec is one campaign submission: which experiments to run and at what
@@ -50,45 +49,23 @@ func (sp Spec) normalize() Spec {
 	return sp
 }
 
-// resolve validates the spec the way the CLI validates its flags — all
-// of it before any experiment runs — and returns the resolved id list,
-// the experiment options, and the campaign fingerprint (the same
-// formula cmd/spider-exp uses for its -resume state, so the two agree
-// on campaign identity).
+// resolve validates the spec with the same expt.Options.Validate the
+// CLI applies to its flags — all of it before any experiment runs, so a
+// bad spec bounces the submission instead of failing the campaign
+// midway — and returns the resolved id list, the experiment options,
+// and the campaign fingerprint (the same formula cmd/spider-exp uses for
+// its -resume state, so the two agree on campaign identity).
 func (sp Spec) resolve() (ids []string, opts expt.Options, fp string, err error) {
 	sp = sp.normalize()
 	ids, err = expt.ResolveIDs(sp.IDs)
 	if err != nil {
 		return nil, opts, "", err
 	}
-	if sp.Scale < 0 || sp.Scale > 1 {
-		return nil, opts, "", fmt.Errorf("scale %g outside (0,1]", sp.Scale)
-	}
-	if sp.Workers < 0 {
-		return nil, opts, "", fmt.Errorf("workers %d negative", sp.Workers)
-	}
-	if sp.Shards < 0 {
-		return nil, opts, "", fmt.Errorf("shards %d negative", sp.Shards)
-	}
-	if sp.Chaos != "" {
-		// A bad chaos spec must bounce the submission, not fail the
-		// campaign mid-flight. Timeline scripts and profile names both
-		// resolve here; the city experiments accept profile names only,
-		// which their own run path still enforces.
-		if _, _, _, rerr := fault.Resolve(sp.Chaos); rerr != nil {
-			return nil, opts, "", fmt.Errorf("chaos: %w", rerr)
-		}
-	}
-	if sp.JoinSpreadMS < 0 {
-		return nil, opts, "", fmt.Errorf("join_spread_ms %d negative", sp.JoinSpreadMS)
-	}
-	switch sp.JoinRamp {
-	case "", "uniform", "exp":
-	default:
-		return nil, opts, "", fmt.Errorf("join_ramp %q (want uniform or exp)", sp.JoinRamp)
-	}
 	opts = expt.Options{Seed: sp.Seed, Scale: sp.Scale, Workers: sp.Workers, Chaos: sp.Chaos, Shards: sp.Shards,
 		JoinSpread: time.Duration(sp.JoinSpreadMS) * time.Millisecond, JoinRamp: sp.JoinRamp}
+	if err := opts.Validate(); err != nil {
+		return nil, expt.Options{}, "", err
+	}
 	fp = archive.FP(fmt.Sprintf("seed=%d", sp.Seed), expt.ConfigFP(opts),
 		"ids="+strings.Join(ids, ","))
 	return ids, opts, fp, nil

@@ -153,14 +153,18 @@ func TestSpecValidationFailsFast(t *testing.T) {
 	defer ts.Close()
 
 	bad := []string{
-		`{"ids":"fig2,nope"}`,          // unknown experiment
-		`{"ids":"fig2,fig2"}`,          // duplicate
-		`{"ids":"all,fig2"}`,           // all mixed with explicit
-		`{"ids":""}`,                   // empty
-		`{"ids":"fig2","scale":2}`,     // scale out of range
-		`{"ids":"fig2","workers":-1}`,  // negative workers
-		`{"ids":"fig2","chaos":"no!"}`, // unresolvable chaos spec
-		`{"ids":"fig2","bogus":true}`,  // unknown spec field
+		`{"ids":"fig2,nope"}`,                 // unknown experiment
+		`{"ids":"fig2,fig2"}`,                 // duplicate
+		`{"ids":"all,fig2"}`,                  // all mixed with explicit
+		`{"ids":""}`,                          // empty
+		`{"ids":"fig2","scale":2}`,            // scale out of range
+		`{"ids":"fig2","scale":-0.5}`,         // negative scale
+		`{"ids":"fig2","workers":-1}`,         // negative workers
+		`{"ids":"fig2","shards":-1}`,          // negative shards
+		`{"ids":"fig2","chaos":"no!"}`,        // unresolvable chaos spec
+		`{"ids":"city","join_spread_ms":-5}`,  // negative admission spread
+		`{"ids":"city","join_ramp":"zigzag"}`, // unknown admission ramp
+		`{"ids":"fig2","bogus":true}`,         // unknown spec field
 		`not json`,
 	}
 	for _, body := range bad {
@@ -177,6 +181,39 @@ func TestSpecValidationFailsFast(t *testing.T) {
 		if code, _ := getBody(t, ts.URL+p); code != http.StatusNotFound {
 			t.Errorf("GET %s: HTTP %d, want 404", p, code)
 		}
+	}
+}
+
+// TestNonFiniteResultCampaign runs a campaign whose ablation-energy
+// table holds +Inf (a configuration that delivered no bytes): it must
+// finish and serve the CLI's archive bytes, not fail persisting.
+func TestNonFiniteResultCampaign(t *testing.T) {
+	s, err := New(t.TempDir(), 1)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sp := Spec{IDs: "fig2,ablation-energy", Seed: 20, Scale: 0.125}
+	id, err := s.Submit(sp)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitStatus(t, ts.URL, id); st != StatusDone {
+		cs, _ := s.Status(id)
+		t.Fatalf("campaign ended %s (%s)", st, cs.Error)
+	}
+	code, got := getBody(t, ts.URL+"/campaigns/"+id+"/archive")
+	if code != http.StatusOK {
+		t.Fatalf("archive: HTTP %d: %s", code, got)
+	}
+	if want := cliArchiveBytes(t, sp); !bytes.Equal(got, want) {
+		t.Fatalf("served archive differs from CLI archive (%d vs %d bytes)", len(got), len(want))
+	}
+	if !bytes.Contains(got, []byte(`"+Inf"`)) {
+		t.Fatal("archive holds no +Inf cell; the regression is not exercised")
 	}
 }
 

@@ -25,9 +25,12 @@ package wifi
 //     safe, recycling twice never happens (the pooled mark is cleared
 //     on recycle).
 //
-// A nil *Pool is valid and allocates everything fresh — that is the
-// Config.NoPool escape hatch. Both paths produce byte-identical
-// simulations; only the allocation count differs.
+// Recycle resets every object to its zero value on the spot (a data
+// body keeps only its Header capacity), so a recycled object reads as
+// empty from the moment it is returned. Any code that still reads a
+// frame after its recycle point therefore sees zeros rather than the
+// old contents, which changes the simulation and shows up as a golden
+// archive diff; the reuse path hands out objects that equal fresh ones.
 type Pool struct {
 	frames  []*Frame
 	beacons []*BeaconBody
@@ -53,13 +56,10 @@ const poolSlab = 64
 
 // Frame returns a zeroed pool-owned frame.
 func (p *Pool) Frame() *Frame {
-	if p == nil {
-		return &Frame{}
-	}
 	if n := len(p.frames); n > 0 {
 		f := p.frames[n-1]
 		p.frames = p.frames[:n-1]
-		*f = Frame{pooled: true}
+		f.pooled = true
 		return f
 	}
 	p.Fresh++
@@ -74,13 +74,10 @@ func (p *Pool) Frame() *Frame {
 
 // Beacon returns a zeroed pool-owned beacon body.
 func (p *Pool) Beacon() *BeaconBody {
-	if p == nil {
-		return &BeaconBody{}
-	}
 	if n := len(p.beacons); n > 0 {
 		b := p.beacons[n-1]
 		p.beacons = p.beacons[:n-1]
-		*b = BeaconBody{pooled: true}
+		b.pooled = true
 		return b
 	}
 	p.Fresh++
@@ -96,14 +93,10 @@ func (p *Pool) Beacon() *BeaconBody {
 // Data returns a pool-owned data body with a zero-length Header that
 // keeps its previous capacity — append the payload header into it.
 func (p *Pool) Data() *DataBody {
-	if p == nil {
-		return &DataBody{}
-	}
 	if n := len(p.datas); n > 0 {
 		d := p.datas[n-1]
 		p.datas = p.datas[:n-1]
-		h := d.Header[:0]
-		*d = DataBody{pooled: true, Header: h}
+		d.pooled = true
 		return d
 	}
 	p.Fresh++
@@ -118,13 +111,10 @@ func (p *Pool) Data() *DataBody {
 
 // Probe returns a zeroed pool-owned probe-request body.
 func (p *Pool) Probe() *ProbeReqBody {
-	if p == nil {
-		return &ProbeReqBody{}
-	}
 	if n := len(p.probes); n > 0 {
 		b := p.probes[n-1]
 		p.probes = p.probes[:n-1]
-		*b = ProbeReqBody{pooled: true}
+		b.pooled = true
 		return b
 	}
 	p.Fresh++
@@ -137,37 +127,32 @@ func (p *Pool) Probe() *ProbeReqBody {
 	return b
 }
 
-// Recycle returns a pool-owned frame (and its pool-owned body, if any)
-// to the free lists. Frames the pool does not own pass through
-// untouched, as do nil frames, so callers never need to check
+// Recycle zeroes a pool-owned frame (and its pool-owned body, if any)
+// and returns them to the free lists. Frames the pool does not own pass
+// through untouched, as do nil frames, so callers never need to check
 // provenance. The caller must not use f or its body afterwards.
 func (p *Pool) Recycle(f *Frame) {
-	if p == nil || f == nil || !f.pooled {
+	if f == nil || !f.pooled {
 		return
 	}
 	switch b := f.Body.(type) {
 	case *BeaconBody:
 		if b.pooled {
-			b.pooled = false
+			*b = BeaconBody{}
 			p.beacons = append(p.beacons, b)
 		}
 	case *DataBody:
 		if b.pooled {
-			b.pooled = false
+			*b = DataBody{Header: b.Header[:0]}
 			p.datas = append(p.datas, b)
 		}
 	case *ProbeReqBody:
 		if b.pooled {
-			b.pooled = false
+			*b = ProbeReqBody{}
 			p.probes = append(p.probes, b)
 		}
 	}
-	f.pooled = false
-	f.Body = nil
+	*f = Frame{}
 	p.frames = append(p.frames, f)
 	p.Recycled++
 }
-
-// PoolOwned reports whether the frame is currently owned by a pool —
-// exposed for the pooling equivalence tests.
-func (f *Frame) PoolOwned() bool { return f.pooled }
