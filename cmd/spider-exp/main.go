@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"spider/internal/archive"
+	"spider/internal/atomicfile"
 	"spider/internal/expt"
 	"spider/internal/obs"
 	"spider/internal/prof"
@@ -127,9 +128,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "spider-exp: -resume requires -archive-out (the archive is what a campaign resumes)")
 			os.Exit(2)
 		}
-		campFP := archive.FP(fmt.Sprintf("seed=%d", *seed), expt.ConfigFP(opts),
-			"ids="+strings.Join(ids, ","))
-		camp, err = loadCampaign(*resumeO, campFP)
+		camp, err = loadCampaign(*resumeO, expt.CampaignFP(opts, ids))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spider-exp:", err)
 			os.Exit(1)
@@ -174,13 +173,13 @@ func main() {
 			fmt.Println(o.res)
 		}
 		if *svgDir != "" {
-			if err := writeSVGs(*svgDir, o.res); err != nil {
+			if err := writeFigures(*svgDir, ".svg", o.res, figureSVG); err != nil {
 				fmt.Fprintf(os.Stderr, "spider-exp: %v\n", err)
 				os.Exit(1)
 			}
 		}
 		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, o.res); err != nil {
+			if err := writeFigures(*csvDir, ".csv", o.res, figureCSV); err != nil {
 				fmt.Fprintf(os.Stderr, "spider-exp: %v\n", err)
 				os.Exit(1)
 			}
@@ -189,7 +188,7 @@ func main() {
 			e, o.elapsed.Round(time.Millisecond), *scale, *seed)
 	}
 	if arch != nil {
-		if err := os.WriteFile(*archO, arch.Encode(), 0o644); err != nil {
+		if err := atomicfile.WriteFile(*archO, arch.Encode()); err != nil {
 			fmt.Fprintln(os.Stderr, "spider-exp:", err)
 			os.Exit(1)
 		}
@@ -214,87 +213,55 @@ func main() {
 	}
 }
 
-// writeCSVs saves any figures in the result into dir as <id>.csv with
-// one (series, x, y) row per point.
-func writeCSVs(dir string, res fmt.Stringer) error {
-	var figs []expt.Figure
-	switch r := res.(type) {
-	case expt.Figure:
-		figs = []expt.Figure{r}
-	case expt.Fig4Result:
-		for i, f := range r.Scenarios {
-			f.ID = fmt.Sprintf("%s-%d", f.ID, i+1)
-			figs = append(figs, f)
-		}
-	case expt.Fig10Result:
-		figs = []expt.Figure{r.Connections, r.Disruptions, r.Bandwidth}
-	default:
+// printPlots renders any figures contained in a result as terminal
+// charts; tables and other results fall back to their text form.
+func printPlots(res fmt.Stringer) {
+	figs := expt.Figures(res)
+	if len(figs) == 0 {
+		fmt.Println(res)
+	}
+	for _, f := range figs {
+		fmt.Println(f.Plot(72, 18))
+	}
+}
+
+// writeFigures saves each figure in the result into dir as <id><ext>,
+// with the content render gives it. Fig. 4's scenario panels share one
+// id, so they are saved — and titled — as fig4-1, fig4-2, …. Results
+// without figures write nothing.
+func writeFigures(dir, ext string, res fmt.Stringer, render func(expt.Figure) string) error {
+	figs := expt.Figures(res)
+	if len(figs) == 0 {
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, f := range figs {
-		var b strings.Builder
-		b.WriteString("series,x,y\n")
-		for _, sr := range f.Series {
-			for _, p := range sr.Points {
-				fmt.Fprintf(&b, "%q,%g,%g\n", sr.Name, p.X, p.Y)
-			}
-		}
-		path := filepath.Join(dir, f.ID+".csv")
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("   wrote %s\n", path)
-	}
-	return nil
-}
-
-// printPlots renders any figures contained in a result as terminal
-// charts; tables and other results fall back to their text form.
-func printPlots(res fmt.Stringer) {
-	switch r := res.(type) {
-	case expt.Figure:
-		fmt.Println(r.Plot(72, 18))
-	case expt.Fig4Result:
-		for _, f := range r.Scenarios {
-			fmt.Println(f.Plot(72, 18))
-		}
-	case expt.Fig10Result:
-		for _, f := range []expt.Figure{r.Connections, r.Disruptions, r.Bandwidth} {
-			fmt.Println(f.Plot(72, 18))
-		}
-	default:
-		fmt.Println(res)
-	}
-}
-
-// writeSVGs saves any figures in the result into dir as <id>.svg.
-func writeSVGs(dir string, res fmt.Stringer) error {
-	var figs []expt.Figure
-	switch r := res.(type) {
-	case expt.Figure:
-		figs = []expt.Figure{r}
-	case expt.Fig4Result:
-		for i, f := range r.Scenarios {
+	_, numbered := res.(expt.Fig4Result)
+	for i, f := range figs {
+		if numbered {
 			f.ID = fmt.Sprintf("%s-%d", f.ID, i+1)
-			figs = append(figs, f)
 		}
-	case expt.Fig10Result:
-		figs = []expt.Figure{r.Connections, r.Disruptions, r.Bandwidth}
-	default:
-		return nil // tables have no SVG form
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, f := range figs {
-		path := filepath.Join(dir, f.ID+".svg")
-		if err := os.WriteFile(path, []byte(f.PlotSVG(640, 360)), 0o644); err != nil {
+		path := filepath.Join(dir, f.ID+ext)
+		if err := os.WriteFile(path, []byte(render(f)), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("   wrote %s\n", path)
 	}
 	return nil
 }
+
+// figureCSV renders a figure as one (series, x, y) row per point.
+func figureCSV(f expt.Figure) string {
+	var b strings.Builder
+	b.WriteString("series,x,y\n")
+	for _, sr := range f.Series {
+		for _, p := range sr.Points {
+			fmt.Fprintf(&b, "%q,%g,%g\n", sr.Name, p.X, p.Y)
+		}
+	}
+	return b.String()
+}
+
+// figureSVG renders a figure as a standalone SVG document.
+func figureSVG(f expt.Figure) string { return f.PlotSVG(640, 360) }

@@ -1,7 +1,8 @@
 // Package atomicfile is the one durable-write primitive every state
-// file in the repo goes through: checkpoints, campaign state, and the
-// supervisor's store all persist via WriteFile, so they all share the
-// same crash contract.
+// file in the repo goes through: checkpoints, campaign state, the
+// supervisor's store and the CLIs' -archive-out run archives all persist
+// via WriteFile, so they all share the same crash contract (a killed run
+// never leaves a torn archive for spider-diff).
 //
 // The contract is stronger than "temp file + rename". Rename makes the
 // replacement atomic with respect to concurrent readers, and fsyncing
@@ -29,6 +30,13 @@ func WriteFile(path string, data []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
+	// CreateTemp makes the file 0600; the written file gets the mode
+	// os.WriteFile(path, data, 0o644) would give it, so run archives
+	// stay readable by whoever could read them before they were atomic.
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return err
+	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err

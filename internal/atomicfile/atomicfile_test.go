@@ -21,6 +21,14 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("content = %q, want %q", got, want)
 	}
+	// The mode os.WriteFile(path, data, 0o644) gives, not CreateTemp's 0600.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("Stat: %v", err)
+	}
+	if perm := fi.Mode().Perm(); perm != 0o644 {
+		t.Fatalf("mode = %v, want -rw-r--r--", perm)
+	}
 }
 
 func TestWriteFileReplacesExisting(t *testing.T) {

@@ -32,13 +32,12 @@ func AblationSelection(o Options) Table {
 		// Densify the deployment: the heuristic only matters when several
 		// candidate APs contest the interface budget at once.
 		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
 		spec.NumAPs = 80
-		w, mob := spec.Build()
 		cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: 1}})
 		cfg.MaxInterfaces = 1
 		cfg.UseHistory = useHistory
-		c := w.AddClient(cfg, mob)
+		d := newDrive(spec, cfg, nil, nil, nil)
+		w, c := d.World, d.Client
 		dur := o.driveDur()
 		w.Run(dur)
 		name := "recency (stock)"
@@ -70,10 +69,9 @@ func AblationCache(o Options) Table {
 		Columns: []string{"Cache", "Throughput", "Median join", "Fast-path joins"},
 	}
 	run := func(useCache bool) []string {
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: 1}})
 		cfg.UseLeaseCache = useCache
-		c := w.AddClient(cfg, mob)
+		w, c := amherstDrive(o.Seed, cfg)
 		// The cache only matters on REPEAT encounters: floor the run at
 		// two-plus laps of the loop regardless of scale.
 		dur := o.scaleDur(40*time.Minute, 14*time.Minute)
@@ -109,9 +107,8 @@ func AblationChannel(o Options) Table {
 	}
 	dur := o.driveDur()
 	runFixed := func(ch int) (float64, float64) {
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: ch}})
-		c := w.AddClient(cfg, mob)
+		w, c := amherstDrive(o.Seed, cfg)
 		w.Run(dur)
 		return c.Rec.ThroughputKBps(dur), c.Rec.Connectivity(dur)
 	}
@@ -131,10 +128,9 @@ func AblationChannel(o Options) Table {
 				metrics.FormatKBps(tput), metrics.FormatPct(conn)}}
 		}
 		// Dynamic policy, phase one: survey 3 s per channel.
-		w, mob := buildDrive(o.Seed, 0)
 		surveyCfg := core.SpiderDefaults(core.MultiChannelMultiAP, core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
 		surveyCfg.MaxInterfaces = 1 // survey only; no point joining yet
-		c := w.AddClient(surveyCfg, mob)
+		w, c := amherstDrive(o.Seed, surveyCfg)
 		w.Run(9 * time.Second)
 		counts := map[int]int{}
 		for _, r := range c.Driver.KnownAPs() {
@@ -153,9 +149,8 @@ func AblationChannel(o Options) Table {
 	}
 	best := steps[nfixed].best
 	// Fresh world, committed to the surveyed winner.
-	w2, mob2 := buildDrive(o.Seed, 0)
 	cfg := core.SpiderDefaults(core.SingleChannelMultiAP, []core.ChannelSlice{{Channel: best}})
-	c2 := w2.AddClient(cfg, mob2)
+	w2, c2 := amherstDrive(o.Seed, cfg)
 	w2.Run(dur)
 	tbl.Rows = append(tbl.Rows, []string{
 		fmt.Sprintf("dynamic (surveyed → ch %d)", best),

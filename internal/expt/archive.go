@@ -4,31 +4,43 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"spider/internal/archive"
 )
 
-// ConfigFP fingerprints the options that change results: scale and the
-// chaos profile. Seed is carried separately in the run ID. Workers,
-// Shards and Obs are deliberately excluded — results are invariant in
-// them, and the archive byte-gate is what proves that claim, so folding
-// them in would let two runs that must compare equal disagree on
-// identity before a single measurement is read.
+// ConfigFP fingerprints the options that change results: scale, the
+// chaos profile and, when set, join admission. Seed is carried
+// separately in the run ID. Workers, Shards and Obs are deliberately
+// excluded — results are invariant in them, and the archive byte-gate
+// is what proves that claim, so folding them in would let two runs that
+// must compare equal disagree on identity before a single measurement
+// is read.
 func ConfigFP(o Options) string {
 	o = o.withDefaults()
-	parts := []string{
-		fmt.Sprintf("scale=%g", o.Scale),
-		"chaos=" + o.Chaos,
-	}
-	// Admission staggering changes simulated bytes, so it must split the
-	// fingerprint — but it appends conditionally, so every pre-stagger
-	// run ID stays exactly what it was.
+	return archive.FP(o.AppendJoinFP(fmt.Sprintf("scale=%g", o.Scale), "chaos="+o.Chaos)...)
+}
+
+// AppendJoinFP appends the join-admission parts of a fingerprint to
+// parts. Admission staggering changes simulated bytes, so it must split
+// every fingerprint that covers it — but only when set, so every
+// pre-stagger run ID stays exactly what it was. ConfigFP and
+// spider-sim's fingerprint both fold it in here.
+func (o Options) AppendJoinFP(parts ...string) []string {
 	if o.JoinSpread > 0 {
 		parts = append(parts,
 			fmt.Sprintf("join-spread=%s", o.JoinSpread),
 			"join-ramp="+o.JoinRamp)
 	}
-	return archive.FP(parts...)
+	return parts
+}
+
+// CampaignFP is a campaign's identity: the seed as given, ConfigFP, and
+// the resolved experiment ids in order. spider-exp's -resume state and
+// the supervisor's store both key on it, so the two agree on which
+// campaign a record belongs to.
+func CampaignFP(o Options, ids []string) string {
+	return archive.FP(fmt.Sprintf("seed=%d", o.Seed), ConfigFP(o), "ids="+strings.Join(ids, ","))
 }
 
 // NewArchive creates an empty archive documenting runs at these
@@ -80,22 +92,17 @@ func RunArchived(a *archive.Archive, id string, o Options) (fmt.Stringer, error)
 	}
 	exp := archive.Experiment{ID: expID, Name: id, Chaos: o.Chaos}
 	rb := resultBuilder{expID: expID}
+	figs := Figures(res)
+	for _, f := range figs {
+		rb.figure(f)
+	}
 	switch r := res.(type) {
-	case Figure:
-		rb.figure(r)
 	case Table:
 		rb.table(r)
 	case Fig4Result:
-		for _, f := range r.Scenarios {
-			rb.figure(f)
-		}
 		for i, v := range r.DividingSpeeds {
 			rb.num("fig4", fmt.Sprintf("dividing_speed[%d]", i), v)
 		}
-	case Fig10Result:
-		rb.figure(r.Connections)
-		rb.figure(r.Disruptions)
-		rb.figure(r.Bandwidth)
 	case ChaosResult:
 		exp.Faults = archive.FaultsFrom(expID, r.Stats)
 		rb.table(r.Drives)
@@ -106,7 +113,9 @@ func RunArchived(a *archive.Archive, id string, o Options) (fmt.Stringer, error)
 			rb.str("chaos", "checker_err", r.Err.Error())
 		}
 	default:
-		rb.str(id, "text", res.String())
+		if len(figs) == 0 {
+			rb.str(id, "text", res.String())
+		}
 	}
 	exp.Results = rb.out
 	a.Experiments = append(a.Experiments, exp)

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"spider/internal/core"
 	"spider/internal/fault"
 	"spider/internal/metrics"
-	"spider/internal/obs"
 	"spider/internal/scenario"
 	"spider/internal/sweep"
 )
@@ -51,35 +49,6 @@ func (r ChaosResult) String() string {
 	return b.String()
 }
 
-// chaosProfile resolves Options.Chaos — a profile name or a fault
-// timeline script. Default: the aggressive profile (a chaos experiment
-// without chaos proves nothing).
-func chaosProfile(spec string) (fault.Config, fault.Timeline, string, error) {
-	if spec == "" {
-		spec = "aggressive"
-	}
-	return fault.Resolve(spec)
-}
-
-// chaosDrive runs one Amherst drive under the given fault config and
-// returns the client, chaos state and duration.
-func chaosDrive(seed int64, dur time.Duration, cfg core.Config, fcfg fault.Config, tl fault.Timeline, o *obs.Obs) (*scenario.Client, *scenario.Chaos, time.Duration) {
-	spec := scenario.AmherstDrive(seed)
-	spec.Radio = driveRadio()
-	w, m := spec.Build()
-	w.AttachObs(o)
-	c := w.AddClient(cfg, m)
-	ch := scenario.ApplyChaos(w, c, fcfg)
-	if len(tl) > 0 {
-		ch.Injector.ScheduleTimeline(tl)
-		if ch.Checker != nil {
-			ch.Checker.StartLiveness(5 * time.Second)
-		}
-	}
-	w.Run(dur)
-	return c, ch, dur
-}
-
 // ChaosDrive runs the hostile-city experiment: the same Amherst drive
 // with the multi-channel multi-AP Spider configuration, once clean and
 // once under the fault profile (Options.Chaos; "aggressive" by
@@ -88,7 +57,13 @@ func chaosDrive(seed int64, dur time.Duration, cfg core.Config, fcfg fault.Confi
 // leaks past teardown, or the driver deadlocks.
 func ChaosDrive(o Options) (ChaosResult, error) {
 	o = o.withDefaults()
-	fcfg, tl, name, err := chaosProfile(o.Chaos)
+	// A chaos experiment without chaos proves nothing: the default
+	// profile is aggressive.
+	chaos := o.Chaos
+	if chaos == "" {
+		chaos = "aggressive"
+	}
+	fcfg, tl, name, err := fault.Resolve(chaos)
 	if err != nil {
 		return ChaosResult{}, err
 	}
@@ -107,33 +82,32 @@ func ChaosDrive(o Options) (ChaosResult, error) {
 	}
 	dur := o.driveDur()
 	cfg := spiderConfig("3ch-multi")
-	seed := sweep.TaskSeed(o.Seed, "chaos", 0)
+	spec := scenario.AmherstDrive(sweep.TaskSeed(o.Seed, "chaos", 0))
 
-	type drive struct {
-		c  *scenario.Client
-		ch *scenario.Chaos
-	}
-	runs := fanOut(o, 2, func(i int) drive {
-		if i == 0 {
-			c, ch, _ := chaosDrive(seed, dur, cfg, fault.Config{}, nil, o.Obs)
-			return drive{c, ch}
+	// Run 0 is the clean baseline: an all-zero fault config still wraps
+	// the client in the invariant checker.
+	runs := fanOut(o, 2, func(i int) Drive {
+		runCfg, runTL := fault.Config{}, fault.Timeline(nil)
+		if i == 1 {
+			runCfg, runTL = fcfg, tl
 		}
-		c, ch, _ := chaosDrive(seed, dur, cfg, fcfg, tl, o.Obs)
-		return drive{c, ch}
+		d := newDrive(spec, cfg, o.Obs, &runCfg, runTL)
+		d.World.Run(dur)
+		return d
 	})
 
-	row := func(label string, d drive) []string {
-		st := d.c.Driver.Stats()
+	row := func(label string, d Drive) []string {
+		st := d.Client.Driver.Stats()
 		fails := 0
-		for _, j := range d.c.Joins {
+		for _, j := range d.Client.Joins {
 			if !j.Success {
 				fails++
 			}
 		}
 		return []string{
 			label,
-			metrics.FormatKBps(d.c.Rec.ThroughputKBps(dur)),
-			metrics.FormatPct(d.c.Rec.Connectivity(dur)),
+			metrics.FormatKBps(d.Client.Rec.ThroughputKBps(dur)),
+			metrics.FormatPct(d.Client.Rec.Connectivity(dur)),
 			fmt.Sprint(st.JoinSuccesses),
 			fmt.Sprint(fails),
 			fmt.Sprint(st.Blacklisted),
@@ -141,7 +115,7 @@ func ChaosDrive(o Options) (ChaosResult, error) {
 	}
 	res.Drives.Rows = [][]string{row("clean", runs[0]), row("chaos", runs[1])}
 
-	res.Stats = runs[1].ch.Injector.Snapshot()
+	res.Stats = runs[1].Chaos.Injector.Snapshot()
 	for _, cs := range res.Stats {
 		if cs.Injected == 0 && cs.Skipped == 0 {
 			continue
@@ -159,7 +133,7 @@ func ChaosDrive(o Options) (ChaosResult, error) {
 	// Both runs' checkers must pass: chaos must not corrupt the driver,
 	// and the clean run guards the harness itself.
 	for i, d := range runs {
-		if err := d.ch.Checker.Verify(); err != nil {
+		if err := d.Chaos.Checker.Verify(); err != nil {
 			res.Checker = err.Error()
 			res.Err = fmt.Errorf("run %d: %w", i, err)
 			break

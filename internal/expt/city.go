@@ -45,41 +45,75 @@ const cityTraceCap = 1 << 15
 // does not pay for them).
 func cityRun(o Options, withObs bool) (*shard.City, time.Duration, error) {
 	o = o.withDefaults()
-	spec := scenario.CityGrid(o.Seed, o.scaleN(1000, 60), o.scaleN(100, 10))
+	spec := CitySpec(o.Seed, o.scaleN(1000, 60), o.scaleN(100, 10), 0, 0)
 	dur := o.scaleDur(2*time.Minute, 15*time.Second)
-	return specRun("city", spec, dur, o, withObs)
+	return runCity("city", spec, dur, o, withObs)
 }
 
-// specRun finishes a city-style spec — radio profile, driver config,
-// shard workers, observability, chaos — and advances it. Shared by the
-// city and metro experiments so both archive through the exact same
-// engine path.
-func specRun(id string, spec scenario.CityGridSpec, dur time.Duration, o Options, withObs bool) (*shard.City, time.Duration, error) {
-	spec.Radio = radio.Defaults()
-	spec.Radio.DataRateKbps = 24_000
-	spec.JoinSpread, spec.JoinRamp = o.JoinSpread, o.JoinRamp
-	cfg := core.SpiderDefaults(core.MultiChannelMultiAP,
-		core.EqualSchedule(200*time.Millisecond, 1, 6, 11))
-
-	workers := o.Shards
-	if workers <= 0 {
-		workers = 1
-	}
-	city := shard.NewCity(spec, cfg, workers)
+// runCity builds a city-style spec with the 3-channel multi-AP driver
+// and advances it. Shared by the city and metro experiments so both
+// archive through the exact same engine path.
+func runCity(id string, spec scenario.CityGridSpec, dur time.Duration, o Options, withObs bool) (*shard.City, time.Duration, error) {
+	var ob *CityObs
 	if withObs {
-		city.EnableObs(cityTraceCap)
+		ob = &CityObs{TraceCap: cityTraceCap}
 	}
-	if o.Chaos != "" {
-		fcfg, ok := fault.Profile(o.Chaos)
-		if !ok {
-			return nil, 0, fmt.Errorf("%s: unknown chaos profile %q", id, o.Chaos)
-		}
-		city.ApplyChaos(fcfg)
+	city, err := NewCity(spec, spiderConfig("3ch-multi"), o, ob)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", id, err)
 	}
 	if err := city.Run(dur); err != nil {
 		return nil, 0, err
 	}
 	return city, dur, nil
+}
+
+// CitySpec returns the citygrid scenario at seed with numAPs APs and
+// numClients vehicles. A positive areaW or areaH overrides its area.
+func CitySpec(seed int64, numAPs, numClients int, areaW, areaH float64) scenario.CityGridSpec {
+	spec := scenario.CityGrid(seed, numAPs, numClients)
+	if areaW > 0 {
+		spec.AreaW = areaW
+	}
+	if areaH > 0 {
+		spec.AreaH = areaH
+	}
+	return spec
+}
+
+// CityObs sizes the per-tile observation bundles NewCity attaches: each
+// tile's trace ring holds TraceCap events (0 = the obs default) and
+// records only categories with a Filter prefix (empty = all).
+type CityObs struct {
+	TraceCap int
+	Filter   []string
+}
+
+// NewCity builds a city-style spec on the sharded engine, ready to Run:
+// the city radio profile, o's join admission, cfg on every client,
+// o.Shards tile workers (0/1 = sequential), per-tile observation when ob
+// is non-nil, and o.Chaos, which must name a fault profile (timeline
+// scripts are single-drive only). The city and metro experiments and
+// spider-sim's citygrid mode all build their cities here.
+func NewCity(spec scenario.CityGridSpec, cfg core.Config, o Options, ob *CityObs) (*shard.City, error) {
+	var fcfg fault.Config
+	if o.Chaos != "" {
+		var ok bool
+		if fcfg, ok = fault.Profile(o.Chaos); !ok {
+			return nil, fmt.Errorf("unknown chaos profile %q (timeline scripts are single-drive only)", o.Chaos)
+		}
+	}
+	spec.Radio = radio.Defaults()
+	spec.Radio.DataRateKbps = 24_000
+	spec.JoinSpread, spec.JoinRamp = o.JoinSpread, o.JoinRamp
+	city := shard.NewCity(spec, cfg, max(o.Shards, 1))
+	if ob != nil {
+		city.EnableObs(ob.TraceCap, ob.Filter...)
+	}
+	if o.Chaos != "" {
+		city.ApplyChaos(fcfg)
+	}
+	return city, nil
 }
 
 // cityFigure renders a completed city-style run as the experiment's

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"spider/internal/core"
+	"spider/internal/fault"
 	"spider/internal/metrics"
+	"spider/internal/obs"
 	"spider/internal/scenario"
 	"spider/internal/usertrace"
 )
@@ -18,46 +20,118 @@ func init() {
 	register("fig14", func(o Options) (fmt.Stringer, error) { return Fig14(o), nil })
 }
 
-// driveConfigs are the four Spider configurations of §4.1 (Table 2,
-// Fig 10). Multi-channel rows use the paper's static 200 ms schedule on
-// channels 1, 6, 11.
-func spiderConfig(name string) core.Config {
+// SpiderConfig returns a driver configuration by name: the four Spider
+// configurations of §4.1 (Table 2, Fig 10) plus the stock MadWiFi
+// baseline. Multi-channel rows use the paper's static 200 ms schedule
+// on channels 1, 6, 11.
+func SpiderConfig(name string) (core.Config, error) {
 	one := []core.ChannelSlice{{Channel: 1}}
 	three := core.EqualSchedule(200*time.Millisecond, 1, 6, 11)
 	switch name {
 	case "ch1-multi":
-		return core.SpiderDefaults(core.SingleChannelMultiAP, one)
+		return core.SpiderDefaults(core.SingleChannelMultiAP, one), nil
 	case "ch1-single":
 		// §4.1 configuration 1 "mimics off-the-shelf Wi-Fi on a single
 		// channel": stock timers, no lease cache, no history — pinned to
 		// channel 1. This is the baseline the 4× claim compares against.
-		return core.StockDefaults(one)
+		return core.StockDefaults(one), nil
 	case "3ch-multi":
-		return core.SpiderDefaults(core.MultiChannelMultiAP, three)
+		return core.SpiderDefaults(core.MultiChannelMultiAP, three), nil
 	case "3ch-single":
-		return core.SpiderDefaults(core.MultiChannelSingleAP, three)
+		return core.SpiderDefaults(core.MultiChannelSingleAP, three), nil
 	case "stock":
 		// The unmodified MadWiFi baseline roams over the occupied
 		// orthogonal channels with stock timers and no optimizations.
-		return core.StockDefaults(three)
+		return core.StockDefaults(three), nil
 	}
-	panic("unknown config " + name)
+	return core.Config{}, fmt.Errorf("unknown config %q (want ch1-multi, ch1-single, 3ch-multi, 3ch-single or stock)", name)
 }
 
-// driveClient runs one Amherst (or Boston) drive with the config and
-// returns the measured client and the run duration.
-func driveClient(o Options, boston bool, cfg core.Config) (*scenario.Client, time.Duration) {
-	spec := scenario.AmherstDrive(o.Seed)
-	if boston {
-		spec = scenario.BostonDrive(o.Seed)
+// spiderConfig is SpiderConfig for the experiments' literal names.
+func spiderConfig(name string) core.Config {
+	cfg, err := SpiderConfig(name)
+	if err != nil {
+		panic(err)
 	}
+	return cfg
+}
+
+// DriveSpec returns the named drive scenario ("amherst" or "boston")
+// at seed. A positive speedMS or numAPs overrides the scenario's own.
+func DriveSpec(city string, seed int64, speedMS float64, numAPs int) (scenario.DriveSpec, error) {
+	var spec scenario.DriveSpec
+	switch city {
+	case "amherst":
+		spec = scenario.AmherstDrive(seed)
+	case "boston":
+		spec = scenario.BostonDrive(seed)
+	default:
+		return spec, fmt.Errorf("unknown drive city %q (want amherst or boston)", city)
+	}
+	if speedMS > 0 {
+		spec.SpeedMS = speedMS
+	}
+	if numAPs > 0 {
+		spec.NumAPs = numAPs
+	}
+	return spec, nil
+}
+
+// Drive is one single-client drive, built and ready to Run.
+type Drive struct {
+	World  *scenario.World
+	Client *scenario.Client
+	// Chaos is the client's fault injector and invariant checker; nil
+	// when the drive was built without a chaos spec.
+	Chaos *scenario.Chaos
+}
+
+// NewDrive builds the single-client drive behind every drive experiment
+// and spider-sim's drive mode. o may be nil. A non-empty chaos spec — a
+// profile name or a fault timeline script (fault.Resolve) — wraps the
+// client in a fault injector and invariant checker.
+func NewDrive(spec scenario.DriveSpec, cfg core.Config, o *obs.Obs, chaos string) (Drive, error) {
+	if chaos == "" {
+		return newDrive(spec, cfg, o, nil, nil), nil
+	}
+	fcfg, tl, _, err := fault.Resolve(chaos)
+	if err != nil {
+		return Drive{}, err
+	}
+	return newDrive(spec, cfg, o, &fcfg, tl), nil
+}
+
+// newDrive gives spec the drive radio profile and builds it. o is
+// attached before the client joins, so the driver histograms and the
+// injector's episode spans are wired from the start. A non-nil fcfg
+// applies chaos (even an all-zero one, which only adds the checker); a
+// timeline's episodes are scheduled and the liveness probe started.
+func newDrive(spec scenario.DriveSpec, cfg core.Config, o *obs.Obs, fcfg *fault.Config, tl fault.Timeline) Drive {
 	spec.Radio = driveRadio()
 	w, m := spec.Build()
-	w.AttachObs(o.Obs)
-	c := w.AddClient(cfg, m)
+	w.AttachObs(o)
+	d := Drive{World: w, Client: w.AddClient(cfg, m)}
+	if fcfg != nil {
+		d.Chaos = scenario.ApplyChaos(w, d.Client, *fcfg)
+		if len(tl) > 0 {
+			d.Chaos.Injector.ScheduleTimeline(tl)
+			d.Chaos.Checker.StartLiveness(5 * time.Second)
+		}
+	}
+	return d
+}
+
+// driveClient runs one clean drive in the named city with the config
+// and returns the measured client and the run duration.
+func driveClient(o Options, city string, cfg core.Config) (*scenario.Client, time.Duration) {
+	spec, err := DriveSpec(city, o.Seed, 0, 0)
+	if err != nil {
+		panic(err)
+	}
+	d := newDrive(spec, cfg, o.Obs, nil, nil)
 	dur := o.driveDur()
-	w.Run(dur)
-	return c, dur
+	d.World.Run(dur)
+	return d.Client, dur
 }
 
 // Table2 reproduces Table 2: average throughput and connectivity for the
@@ -73,16 +147,16 @@ func Table2(o Options) Table {
 		Columns: []string{"(Config) Parameters", "Throughput", "Connectivity"},
 	}
 	rows := []struct {
-		label  string
-		cfg    string
-		boston bool
+		label string
+		cfg   string
+		city  string
 	}{
-		{"(1) Channel 1, Multi-AP", "ch1-multi", false},
-		{"(2) Channel 1, Single-AP", "ch1-single", false},
-		{"(3) 3 channels, Multi-AP", "3ch-multi", false},
-		{"(4) 3 channels, Single-AP", "3ch-single", false},
-		{"(2) Channel 6, single-AP (Boston)", "ch6-single-boston", true},
-		{"MadWiFi driver", "stock", false},
+		{"(1) Channel 1, Multi-AP", "ch1-multi", "amherst"},
+		{"(2) Channel 1, Single-AP", "ch1-single", "amherst"},
+		{"(3) 3 channels, Multi-AP", "3ch-multi", "amherst"},
+		{"(4) 3 channels, Single-AP", "3ch-single", "amherst"},
+		{"(2) Channel 6, single-AP (Boston)", "ch6-single-boston", "boston"},
+		{"MadWiFi driver", "stock", "amherst"},
 	}
 	tbl.Rows = fanOut(o, len(rows), func(i int) []string {
 		r := rows[i]
@@ -92,7 +166,7 @@ func Table2(o Options) Table {
 		} else {
 			cfg = spiderConfig(r.cfg)
 		}
-		c, dur := driveClient(o, r.boston, cfg)
+		c, dur := driveClient(o, r.city, cfg)
 		return []string{
 			r.label,
 			metrics.FormatKBps(c.Rec.ThroughputKBps(dur)),
@@ -126,7 +200,7 @@ func Table4(o Options) Table {
 		if len(r.sched) == 1 {
 			mode = core.SingleChannelMultiAP
 		}
-		c, dur := driveClient(o, false, core.SpiderDefaults(mode, r.sched))
+		c, dur := driveClient(o, "amherst", core.SpiderDefaults(mode, r.sched))
 		return []string{
 			r.label,
 			metrics.FormatKBps(c.Rec.ThroughputKBps(dur)),
@@ -168,7 +242,7 @@ func Fig10(o Options) Fig10Result {
 	type panels struct{ conn, gap, bw Series }
 	got := fanOut(o, len(rows), func(i int) panels {
 		r := rows[i]
-		c, dur := driveClient(o, false, spiderConfig(r.cfg))
+		c, dur := driveClient(o, "amherst", spiderConfig(r.cfg))
 		return panels{
 			conn: cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Connections(dur))),
 			gap:  cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Disruptions(dur))),
@@ -212,7 +286,7 @@ func Fig13(o Options) Figure {
 	}
 	fig.Series = append(fig.Series, fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		c, dur := driveClient(o, false, spiderConfig(r.cfg))
+		c, dur := driveClient(o, "amherst", spiderConfig(r.cfg))
 		return cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Connections(dur)))
 	})...)
 	return fig
@@ -238,7 +312,7 @@ func Fig14(o Options) Figure {
 	}
 	fig.Series = append(fig.Series, fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		c, dur := driveClient(o, false, spiderConfig(r.cfg))
+		c, dur := driveClient(o, "amherst", spiderConfig(r.cfg))
 		return cdfSeries(r.label, metrics.DurationsCDF(c.Rec.Disruptions(dur)))
 	})...)
 	return fig

@@ -39,10 +39,7 @@ func AblationWeb(o Options) Table {
 	names := []string{"ch1-multi", "3ch-multi", "3ch-single", "stock"}
 	tbl.Rows = fanOut(o, len(names), func(i int) []string {
 		name := names[i]
-		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
-		w, mob := spec.Build()
-		c := w.AddClient(spiderConfig(name), mob)
+		w, c := amherstDrive(o.Seed, spiderConfig(name))
 		c.SetWorkload(scenario.DefaultWebWorkload())
 		w.Run(dur)
 		med, p90 := "n/a", "n/a"
@@ -186,12 +183,10 @@ func AblationDividing(o Options) Table {
 			mode = core.MultiChannelMultiAP
 		}
 		spec := scenario.AmherstDrive(o.Seed)
-		spec.Radio = driveRadio()
 		spec.SpeedMS = speed
-		w, mob := spec.Build()
-		c := w.AddClient(core.SpiderDefaults(mode, sched), mob)
-		w.Run(dur)
-		return c.Rec.ThroughputKBps(dur)
+		d := newDrive(spec, core.SpiderDefaults(mode, sched), nil, nil, nil)
+		d.World.Run(dur)
+		return d.Client.Rec.ThroughputKBps(dur)
 	})
 	for i, speed := range speeds {
 		one, three := flat[2*i], flat[2*i+1]
@@ -292,7 +287,7 @@ func AblationEnergy(o Options) Table {
 	names := []string{"ch1-multi", "ch1-single", "3ch-multi", "3ch-single", "stock"}
 	tbl.Rows = fanOut(o, len(names), func(i int) []string {
 		name := names[i]
-		c, dur := driveClient(o, false, spiderConfig(name))
+		c, dur := driveClient(o, "amherst", spiderConfig(name))
 		rep := model.Account(c.Driver.Airtime(), dur)
 		jpmb := energy.JoulesPerMB(rep, c.Rec.TotalBytes())
 		return []string{

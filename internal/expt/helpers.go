@@ -5,7 +5,6 @@ import (
 
 	"spider/internal/core"
 	"spider/internal/dhcp"
-	"spider/internal/geo"
 	"spider/internal/mac"
 	"spider/internal/radio"
 	"spider/internal/scenario"
@@ -24,15 +23,11 @@ func driveRadio() radio.Config {
 	return cfg
 }
 
-// buildDrive creates an Amherst drive world and mobility with the given
-// seed, optionally overriding the speed.
-func buildDrive(seed int64, speedMS float64) (*scenario.World, geo.Mobility) {
-	spec := scenario.AmherstDrive(seed)
-	spec.Radio = driveRadio()
-	if speedMS > 0 {
-		spec.SpeedMS = speedMS
-	}
-	return spec.Build()
+// amherstDrive builds a clean Amherst drive at seed whose one client
+// runs cfg, for experiments that read the world and client directly.
+func amherstDrive(seed int64, cfg core.Config) (*scenario.World, *scenario.Client) {
+	d := newDrive(scenario.AmherstDrive(seed), cfg, nil, nil, nil)
+	return d.World, d.Client
 }
 
 // primarySchedule builds the Fig 5/6 style schedule: fraction f of

@@ -41,10 +41,9 @@ func Fig5(o Options) Figure {
 	fracs := []float64{0.25, 0.50, 0.75, 1.00}
 	fig.Series = fanOut(o, len(fracs), func(i int) Series {
 		f := fracs[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(primarySchedule(6, f, D), mac.ReducedJoinConfig(),
 			dhcp.ReducedClientConfig(100*time.Millisecond))
-		c := w.AddClient(cfg, mob)
+		w, c := amherstDrive(o.Seed, cfg)
 		w.Run(o.driveDur())
 		succ, total := assocOn(c, channelOf(w), 6)
 		return Series{Name: fmt.Sprintf("%d%%", int(f*100)), Points: failureAwareCDF(succ, total, xs)}
@@ -78,9 +77,8 @@ func Fig6(o Options) Figure {
 	}
 	fig.Series = fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(primarySchedule(6, r.f, D), mac.ReducedJoinConfig(), r.dhc)
-		c := w.AddClient(cfg, mob)
+		w, c := amherstDrive(o.Seed, cfg)
 		w.Run(o.driveDur())
 		chans := channelOf(w)
 		var succ []time.Duration
@@ -127,9 +125,8 @@ func Fig11(o Options) Figure {
 	}
 	fig.Series = fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(r.sched, mac.ReducedJoinConfig(), r.dhc)
-		c := w.AddClient(cfg, mob)
+		w, c := amherstDrive(o.Seed, cfg)
 		w.Run(o.driveDur())
 		succ, total := joinsAll(c)
 		return Series{Name: r.name, Points: failureAwareCDF(succ, total, xs)}
@@ -169,7 +166,6 @@ func Fig12(o Options) Figure {
 	}
 	fig.Series = fanOut(o, len(rows), func(i int) Series {
 		r := rows[i]
-		w, mob := buildDrive(o.Seed, 0)
 		cfg := joinCfg(r.sched, r.link, r.dhc)
 		cfg.MaxInterfaces = r.ifaces
 		if r.ifaces == 1 {
@@ -180,7 +176,7 @@ func Fig12(o Options) Figure {
 				cfg.MaxInterfaces = 1
 			}
 		}
-		c := w.AddClient(cfg, mob)
+		w, c := amherstDrive(o.Seed, cfg)
 		w.Run(o.driveDur())
 		succ, total := joinsAll(c)
 		return Series{Name: r.name, Points: failureAwareCDF(succ, total, xs)}
@@ -224,9 +220,8 @@ func Table3(o Options) Table {
 	flat := fanOut(o, len(rows)*seeds, func(idx int) sample {
 		r := rows[idx/seeds]
 		s := idx % seeds
-		w, mob := buildDrive(o.Seed+int64(100*s), 0)
 		cfg := joinCfg(r.sched, r.link, r.dhc)
-		c := w.AddClient(cfg, mob)
+		w, c := amherstDrive(o.Seed+int64(100*s), cfg)
 		w.Run(o.driveDur() / 2)
 		fails, total := 0, 0
 		for _, j := range c.Joins {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"spider/internal/scenario"
 	"spider/internal/shard"
 )
 
@@ -34,11 +33,10 @@ func MetroScale(o Options) (Figure, error) {
 // the 2-D halo and migration machinery.
 func metroRun(o Options, withObs bool) (*shard.City, time.Duration, error) {
 	o = o.withDefaults()
-	spec := scenario.CityGrid(o.Seed, o.scaleN(50_000, 80), o.scaleN(100_000, 24))
-	spec.AreaW = float64(o.scaleN(30_000, 2400))
-	spec.AreaH = float64(o.scaleN(30_000, 1600))
+	spec := CitySpec(o.Seed, o.scaleN(50_000, 80), o.scaleN(100_000, 24),
+		float64(o.scaleN(30_000, 2400)), float64(o.scaleN(30_000, 1600)))
 	dur := o.scaleDur(2*time.Minute, 10*time.Second)
-	city, dur, err := specRun("metro", spec, dur, o, withObs)
+	city, dur, err := runCity("metro", spec, dur, o, withObs)
 	if err != nil {
 		return nil, 0, err
 	}

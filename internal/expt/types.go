@@ -184,6 +184,21 @@ func (f Figure) chart() plot.Chart {
 	return c
 }
 
+// Figures lists the figures a result holds, in render order: a Figure
+// itself, Fig. 4's scenario panels, or Fig. 10's three CDF panels.
+// Tables and other results hold none.
+func Figures(res fmt.Stringer) []Figure {
+	switch r := res.(type) {
+	case Figure:
+		return []Figure{r}
+	case Fig4Result:
+		return r.Scenarios
+	case Fig10Result:
+		return []Figure{r.Connections, r.Disruptions, r.Bandwidth}
+	}
+	return nil
+}
+
 // SeriesByName finds a series (nil if absent).
 func (f Figure) SeriesByName(name string) *Series {
 	for i := range f.Series {

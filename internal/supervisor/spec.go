@@ -1,11 +1,8 @@
 package supervisor
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
-	"spider/internal/archive"
 	"spider/internal/expt"
 )
 
@@ -53,8 +50,8 @@ func (sp Spec) normalize() Spec {
 // CLI applies to its flags — all of it before any experiment runs, so a
 // bad spec bounces the submission instead of failing the campaign
 // midway — and returns the resolved id list, the experiment options,
-// and the campaign fingerprint (the same formula cmd/spider-exp uses for
-// its -resume state, so the two agree on campaign identity).
+// and the campaign fingerprint (expt.CampaignFP, which cmd/spider-exp
+// also keys its -resume state on).
 func (sp Spec) resolve() (ids []string, opts expt.Options, fp string, err error) {
 	sp = sp.normalize()
 	ids, err = expt.ResolveIDs(sp.IDs)
@@ -66,7 +63,5 @@ func (sp Spec) resolve() (ids []string, opts expt.Options, fp string, err error)
 	if err := opts.Validate(); err != nil {
 		return nil, expt.Options{}, "", err
 	}
-	fp = archive.FP(fmt.Sprintf("seed=%d", sp.Seed), expt.ConfigFP(opts),
-		"ids="+strings.Join(ids, ","))
-	return ids, opts, fp, nil
+	return ids, opts, expt.CampaignFP(opts, ids), nil
 }

@@ -398,4 +398,26 @@ func TestSpecFingerprintMatchesCLI(t *testing.T) {
 	if _, _, fp2, _ := sp2.resolve(); fp2 != fp {
 		t.Fatalf("fingerprint moved with workers/shards: %s vs %s", fp, fp2)
 	}
+	// One formula: the supervisor's fingerprint is expt.CampaignFP, the
+	// one spider-exp keys its -resume state on.
+	if want := expt.CampaignFP(opts, ids); fp != want {
+		t.Fatalf("fingerprint %s, expt.CampaignFP %s", fp, want)
+	}
+	// Stored campaigns keep their identity: these values predate the
+	// shared formula.
+	for _, tc := range []struct {
+		spec string
+		want string
+	}{
+		{`{"ids":"fig2,table2","seed":3,"scale":0.2}`, "155242b6c9d4d3d7"},
+		{`{"ids":"metro","seed":3,"scale":0.05,"join_spread_ms":5000,"join_ramp":"exp"}`, "bb8979734323ae38"},
+	} {
+		var sp Spec
+		if err := json.Unmarshal([]byte(tc.spec), &sp); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, fp, err := sp.resolve(); err != nil || fp != tc.want {
+			t.Errorf("%s: fingerprint %s (err %v), want %s", tc.spec, fp, err, tc.want)
+		}
+	}
 }
